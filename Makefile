@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci lint build vet test race fuzz-short bench bench-json bench-check loadcurve fleet fig8 mix chaos elastic observe trace serve qos
+.PHONY: all ci lint build vet test race fuzz-short bench bench-json bench-check loadcurve fleet fig8 mix drills chaos elastic observe trace serve qos perfbench
 
 all: ci
 
@@ -98,51 +98,38 @@ bench-check:
 mix:
 	$(GO) run ./cmd/smodfleet -loadcurve -mix fast=2,slow=2,crypto=1 -skew 1.2 -epochs 8 -rebalance -json BENCH_mix.json
 
-# The chaos recovery drills under the race detector: schedule parsing,
-# pool reclaim/failover, placement shard-down conformance (and its
-# fuzzer seeds), the fleet kill/stall/drop/corrupt property tests, and
-# the Release-vs-migration orphan regression. The CI chaos job runs
-# exactly this plus a kill-drill load-curve smoke.
-chaos:
-	$(GO) test -race ./internal/chaos
-	$(GO) test -race -run 'Chaos|Reclaim|ShardDown|PoolDown|ReleaseDuringMigration' \
-		./internal/fleet ./internal/placement ./internal/measure
+# The end-to-end drills the CI drills job runs: each feature's curve or
+# daemon smoke, driven through the real commands. The drills' unit and
+# property tests (chaos, elastic, observability, serving, QoS) are not
+# repeated here: `make race` runs every one of them under -race.
+drills: chaos elastic observe trace serve qos
+	python3 -m json.tool TRACE_fleet.json > /dev/null
+	python3 -c "import json; [json.loads(l) for l in open('TRACE_fleet.jsonl')]"
 
-# The elastic-fleet drills under the race detector: the autoscale
-# controller, shard add/drain lifecycle (including the add-then-drain
-# replay determinism property), the placement grow/drain conformance
-# suite, plus a standalone SLO-autoscaled load curve (see README
-# "Elastic fleet & autoscaler").
+# A kill-drill load-curve smoke: availability under shard loss, driven
+# through cmd/smodfleet (see README "Chaos drills").
+chaos:
+	$(GO) run ./cmd/smodfleet -loadcurve -lcshards 2 -clients 8 -lccalls 120 -skew 1.5 \
+		-epochs 6 -replicas 2 -chaos kill:0@4 -json /tmp/BENCH_chaos_smoke.json
+
+# A standalone SLO-autoscaled load curve (see README "Elastic fleet &
+# autoscaler").
 elastic:
-	$(GO) test -race ./internal/autoscale
-	$(GO) test -race -run 'Elastic|Autoscaler|AddShard|DrainShard|ShardUp|PlanDrain|GrowThenDrain' \
-		./internal/fleet ./internal/placement
 	$(GO) run ./cmd/smodfleet -loadcurve -lcshards 4 -clients 24 -lccalls 200 \
 		-epochs 10 -warmup 5 -rebalance -util 0.3,0.6,0.9,1.2 \
 		-autoscale -slo 60 -asmin 2 -asmax 6 -json BENCH_elastic.json
 
-# The multi-tenant QoS drills under the race detector: the tenant
-# scheduling core (token buckets, DRR, the shed rule), the fleet's
-# admission/WFQ/shed/replay-determinism property tests, the
-# spec+reconcile tenants block, then a tenanted aggressor-vs-victim
-# load-curve smoke. The CI qos job runs exactly this; the isolation
+# A tenanted aggressor-vs-victim load-curve smoke; the isolation
 # invariant itself is gated by `make bench-check`.
 qos:
-	$(GO) test -race ./internal/tenant
-	$(GO) test -race -run 'Tenant|Sentinel|Overload' \
-		./internal/fleet ./internal/spec ./internal/reconcile
 	$(GO) run ./cmd/smodfleet -loadcurve -lcshards 2 -clients 8 -lccalls 120 \
 		-tenants victim:64:4:1,aggressor:1:4:6 -tenantknee 64 -tenantwindow 1 \
 		-util 0.5,1.1 -json /tmp/BENCH_qos_smoke.json
 
-# The observability gates (see README "Deterministic observability"):
-# the flight recorder and metrics registry unit tests plus the fleet's
-# zero-perturbation drills under the race detector, then the CI-gated
-# microbenchmark — the per-call emission path with no recorder attached
-# must report exactly 0 allocs/op (the "free when off" invariant).
+# The observability gate (see README "Deterministic observability"):
+# the per-call emission path with no recorder attached must report
+# exactly 0 allocs/op (the "free when off" invariant).
 observe:
-	$(GO) test -race ./internal/trace ./internal/metrics
-	$(GO) test -race -run 'Observability|TraceExport|ZeroAllocs' ./internal/fleet
 	@out="$$($(GO) test -run=NONE -bench=BenchmarkEmitDisabled -benchmem ./internal/fleet)"; \
 		echo "$$out"; \
 		echo "$$out" | grep -Eq 'BenchmarkEmitDisabled.*[^0-9]0 allocs/op' || \
@@ -163,9 +150,8 @@ trace:
 # smodfleetd/smodfleetctl, boot the daemon on loopback from a 4-shard
 # spec, run a wall-clock client burst, apply a live 4 -> 2 spec edit
 # over SIGHUP, assert reconcile convergence via /reconcile, and shut
-# down gracefully. The spec/reconcile unit layer runs first.
+# down gracefully.
 serve:
-	$(GO) test -race ./internal/spec ./internal/reconcile ./cmd/smodfleetd
 	sh scripts/serve-smoke.sh
 
 # The paper's Figure 8 table (scaled down; see cmd/smodbench -h).
@@ -175,3 +161,11 @@ fig8:
 # The fleet throughput scaling curve (see cmd/smodfleet -h).
 fleet:
 	$(GO) run ./cmd/smodfleet
+
+# The repository benchmark (see perfbench/README.md; BENCHMARK.json
+# declares its workloads and bounds): builds perfbench into
+# .bench_build/ and runs one workload, e.g.
+#   make perfbench PERFBENCH_ARGS="--workload sm32-incr --trace 1"
+PERFBENCH_ARGS ?= --workload served-warm --seed 1 --seconds 30 --trace 0
+perfbench:
+	bash perfbench/run.sh $(PERFBENCH_ARGS)

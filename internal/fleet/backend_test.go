@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/backend"
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 )
 
@@ -141,7 +140,7 @@ func TestWeightedPoolAllocation(t *testing.T) {
 func runMixedMigrating(t *testing.T, heatOnly bool) ([]uint64, uint64) {
 	t.Helper()
 	opts := append(mixOpts(t, "fast=2,slow=2"), WithProvision(libcProvisionIdem))
-	tuning := loadmgr.Options{ImbalanceThreshold: 1.05, Seed: 7}
+	tuning := placement.Tuning{ImbalanceThreshold: 1.05, Seed: 7}
 	if heatOnly {
 		opts = append(opts, WithPlacement(placement.NewHeatMigrate(tuning)))
 	} else {

@@ -1,8 +1,8 @@
-package loadmgr
+package fleet
 
 import "container/list"
 
-// ResultCache memoizes responses of idempotent protected functions for
+// resultCache memoizes responses of idempotent protected functions for
 // one shard: a bounded LRU keyed by (module, function, args-hash). An
 // idempotent function's result depends only on its arguments (the
 // module's spec declares which functions qualify), so a hit can answer
@@ -13,7 +13,7 @@ import "container/list"
 //
 // The cache is single-owner (one per shard goroutine) and therefore
 // unlocked; the fleet merges the counters into its stats snapshots.
-type ResultCache struct {
+type resultCache struct {
 	max     int
 	entries map[cacheKey]*list.Element
 	lru     *list.List // front = most recently used
@@ -35,21 +35,21 @@ type cacheEntry struct {
 	val  uint32
 }
 
-// NewResultCache builds a cache holding at most max entries (min 1).
-func NewResultCache(max int) *ResultCache {
+// newResultCache builds a cache holding at most max entries (min 1).
+func newResultCache(max int) *resultCache {
 	if max < 1 {
 		max = 1
 	}
-	return &ResultCache{
+	return &resultCache{
 		max:     max,
 		entries: map[cacheKey]*list.Element{},
 		lru:     list.New(),
 	}
 }
 
-// HashArgs is FNV-1a over the argument words (and the argument count,
+// hashArgs is FNV-1a over the argument words (and the argument count,
 // so (1) and (1,0) differ even though trailing zeros hash alike).
-func HashArgs(args []uint32) uint64 {
+func hashArgs(args []uint32) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -84,8 +84,8 @@ func sameArgs(a, b []uint32) bool {
 
 // Get looks up a memoized response. A hash collision (same hash,
 // different args) counts as a miss.
-func (c *ResultCache) Get(module int, fn uint32, args []uint32) (val uint32, ok bool) {
-	key := cacheKey{module, fn, HashArgs(args)}
+func (c *resultCache) Get(module int, fn uint32, args []uint32) (val uint32, ok bool) {
+	key := cacheKey{module, fn, hashArgs(args)}
 	el, found := c.entries[key]
 	if !found {
 		c.misses++
@@ -104,8 +104,8 @@ func (c *ResultCache) Get(module int, fn uint32, args []uint32) (val uint32, ok 
 // Put memoizes a successful response, evicting the least recently used
 // entry when full. Only errno-0 responses belong in the cache; errors
 // are environmental, not functions of the arguments.
-func (c *ResultCache) Put(module int, fn uint32, args []uint32, val uint32) {
-	key := cacheKey{module, fn, HashArgs(args)}
+func (c *resultCache) Put(module int, fn uint32, args []uint32, val uint32) {
+	key := cacheKey{module, fn, hashArgs(args)}
 	if el, found := c.entries[key]; found {
 		// Overwrite (hash collision slot reuse keeps the map bounded).
 		ent := el.Value.(*cacheEntry)
@@ -124,25 +124,13 @@ func (c *ResultCache) Put(module int, fn uint32, args []uint32, val uint32) {
 	c.entries[key] = c.lru.PushFront(ent)
 }
 
-// Len returns the live entry count.
-func (c *ResultCache) Len() int { return c.lru.Len() }
-
-// Stats returns the hit/miss/eviction counters.
-func (c *ResultCache) Stats() (hits, misses, evictions uint64) {
-	return c.hits, c.misses, c.evictions
-}
-
-// CacheStats is a marshal-friendly counter snapshot: what the fleet's
-// stats merge and the metrics registry read instead of positional
-// Stats() returns.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Live      int    `json:"live"`
+// cacheStats is one snapshot of the counters, merged into ShardStats.
+type cacheStats struct {
+	Hits, Misses, Evictions uint64
+	Live                    int
 }
 
 // Snapshot returns the current counters and live entry count.
-func (c *ResultCache) Snapshot() CacheStats {
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Live: c.lru.Len()}
+func (c *resultCache) Snapshot() cacheStats {
+	return cacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Live: c.lru.Len()}
 }

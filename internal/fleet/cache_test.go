@@ -1,9 +1,9 @@
-package loadmgr
+package fleet
 
 import "testing"
 
 func TestCacheHitMissAndCounters(t *testing.T) {
-	c := NewResultCache(4)
+	c := newResultCache(4)
 	if _, ok := c.Get(1, 2, []uint32{41}); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -22,14 +22,13 @@ func TestCacheHitMissAndCounters(t *testing.T) {
 	if _, ok := c.Get(2, 2, []uint32{41}); ok {
 		t.Fatal("hit with different module")
 	}
-	hits, misses, evictions := c.Stats()
-	if hits != 1 || misses != 4 || evictions != 0 {
-		t.Fatalf("stats = (%d, %d, %d), want (1, 4, 0)", hits, misses, evictions)
+	if st := c.Snapshot(); st != (cacheStats{Hits: 1, Misses: 4, Live: 1}) {
+		t.Fatalf("stats = %+v, want 1 hit, 4 misses, 1 live", st)
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewResultCache(2)
+	c := newResultCache(2)
 	c.Put(1, 1, []uint32{1}, 2)
 	c.Put(1, 1, []uint32{2}, 3)
 	// Touch {1} so {2} becomes the LRU victim.
@@ -46,16 +45,16 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.Get(1, 1, []uint32{3}); !ok {
 		t.Fatal("fresh {3} missing")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.Snapshot().Live != 2 {
+		t.Fatalf("Len = %d, want 2", c.Snapshot().Live)
 	}
-	if _, _, evictions := c.Stats(); evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", evictions)
+	if ev := c.Snapshot().Evictions; ev != 1 {
+		t.Fatalf("evictions = %d, want 1", ev)
 	}
 }
 
 func TestCacheArgCountMatters(t *testing.T) {
-	c := NewResultCache(8)
+	c := newResultCache(8)
 	c.Put(1, 1, []uint32{1}, 10)
 	if _, ok := c.Get(1, 1, []uint32{1, 0}); ok {
 		t.Fatal("(1) and (1,0) must be distinct call sites")
@@ -66,14 +65,14 @@ func TestCacheArgCountMatters(t *testing.T) {
 }
 
 func TestCachePutOverwrites(t *testing.T) {
-	c := NewResultCache(2)
+	c := newResultCache(2)
 	c.Put(1, 1, []uint32{7}, 8)
 	c.Put(1, 1, []uint32{7}, 9)
 	if v, ok := c.Get(1, 1, []uint32{7}); !ok || v != 9 {
 		t.Fatalf("Get after overwrite = (%d, %v), want (9, true)", v, ok)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("overwrite grew the cache: Len = %d", c.Len())
+	if c.Snapshot().Live != 1 {
+		t.Fatalf("overwrite grew the cache: Len = %d", c.Snapshot().Live)
 	}
 }
 
@@ -81,7 +80,7 @@ func TestHashArgsSpread(t *testing.T) {
 	seen := map[uint64][]uint32{}
 	for i := uint32(0); i < 1000; i++ {
 		args := []uint32{i, i * 3}
-		h := HashArgs(args)
+		h := hashArgs(args)
 		if prev, dup := seen[h]; dup {
 			t.Fatalf("hash collision between %v and %v", prev, args)
 		}
@@ -90,10 +89,10 @@ func TestHashArgsSpread(t *testing.T) {
 }
 
 func TestCacheMinCapacity(t *testing.T) {
-	c := NewResultCache(0) // clamped to 1
+	c := newResultCache(0) // clamped to 1
 	c.Put(1, 1, []uint32{1}, 2)
 	c.Put(1, 1, []uint32{2}, 3)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.Snapshot().Live != 1 {
+		t.Fatalf("Len = %d, want 1", c.Snapshot().Live)
 	}
 }

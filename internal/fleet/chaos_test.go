@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/chaos"
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 )
 
@@ -36,7 +35,7 @@ func chaosEngine(t *testing.T, spec string, shards int) *chaos.Engine {
 func newReplicatedChaosFleet(t *testing.T, shards int, spec string) *Fleet {
 	t.Helper()
 	rep := placement.NewReplicated(placement.ReplicatedConfig{
-		Options:     loadmgr.Options{ImbalanceThreshold: 1.05, Seed: 7},
+		Tuning:      placement.Tuning{ImbalanceThreshold: 1.05, Seed: 7},
 		MaxReplicas: shards,
 	})
 	return newTestFleet(t, append(testOpts(shards),
@@ -156,7 +155,8 @@ func chaosDrillRun(t *testing.T, spec string, rounds int) ([]Response, []uint64,
 		t.Fatal(err)
 	}
 	rep := placement.NewReplicated(placement.ReplicatedConfig{
-		Options:     loadmgr.Options{Migrate: true, ImbalanceThreshold: 1.05, Seed: 11},
+		Tuning:      placement.Tuning{ImbalanceThreshold: 1.05, Seed: 11},
+		Migrate:     true,
 		MaxReplicas: 2,
 	})
 	f, err := Open(append(testOpts(0),
@@ -365,7 +365,7 @@ func TestChaosKillLastShardSkipped(t *testing.T) {
 func TestReleaseDuringMigrationNoOrphanedBinding(t *testing.T) {
 	f := newTestFleet(t, append(testOpts(2),
 		WithProvision(libcProvisionIdem),
-		WithPlacement(placement.NewCostAware(loadmgr.Options{
+		WithPlacement(placement.NewCostAware(placement.Tuning{
 			ImbalanceThreshold: 1.05, Seed: 5,
 		})))...)
 	incr := incrID(t, f)
@@ -428,7 +428,8 @@ func runChaosScript(t *testing.T, ops []routeOp, seed int64, faults int) ([]Resp
 	keys := []string{"f0", "f1", "f2", "f3", "f4", "f5"}
 	sched := chaos.Random(seed, 8, len(as), keys, faults)
 	rep := placement.NewReplicated(placement.ReplicatedConfig{
-		Options:     loadmgr.Options{Migrate: true, ImbalanceThreshold: 1.05, Seed: 11},
+		Tuning:      placement.Tuning{ImbalanceThreshold: 1.05, Seed: 11},
+		Migrate:     true,
 		MaxReplicas: 2,
 	})
 	f, err := Open(append(testOpts(0),

@@ -7,7 +7,6 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/backend"
 	"repro/internal/clock"
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 	"repro/internal/trace"
 )
@@ -145,11 +144,7 @@ func (f *Fleet) growShard(p backend.Profile) error {
 	}
 	id := len(f.shards)
 	f.mu.Unlock()
-	var cache *loadmgr.ResultCache
-	if f.cfg.cacheSize > 0 {
-		cache = loadmgr.NewResultCache(f.cfg.cacheSize)
-	}
-	sh, err := newShard(id, &f.cfg, p, cache)
+	sh, err := newShard(id, &f.cfg, p)
 	if err != nil {
 		return fmt.Errorf("fleet: add shard %d: %w", id, err)
 	}

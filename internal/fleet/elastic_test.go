@@ -15,7 +15,6 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/backend"
 	"repro/internal/chaos"
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 )
 
@@ -166,10 +165,6 @@ func TestDrainShardErrors(t *testing.T) {
 	if _, err := f.AddShard(backend.Default()); !errors.Is(err, ErrFleetClosed) {
 		t.Fatalf("AddShard after Close = %v, want ErrFleetClosed", err)
 	}
-	// The legacy name remains an alias of the new sentinel.
-	if !errors.Is(ErrClosed, ErrFleetClosed) {
-		t.Fatal("ErrClosed is not ErrFleetClosed")
-	}
 }
 
 // TestAddThenDrainSameBarrier pins the ordering guarantee inside one
@@ -214,7 +209,8 @@ func TestAddThenDrainSameBarrier(t *testing.T) {
 func elasticDrillRun(t *testing.T, rounds int) ([]Response, []uint64, []int, Stats) {
 	t.Helper()
 	rep := placement.NewReplicated(placement.ReplicatedConfig{
-		Options:     loadmgr.Options{Migrate: true, ImbalanceThreshold: 1.05, Seed: 11},
+		Tuning:      placement.Tuning{ImbalanceThreshold: 1.05, Seed: 11},
+		Migrate:     true,
 		MaxReplicas: 2,
 	})
 	f, err := Open(append(testOpts(4),

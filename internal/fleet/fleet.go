@@ -24,7 +24,7 @@
 //		fleet.WithShards(4),
 //		fleet.WithModule("libc", 1),
 //		fleet.WithProvision(provision),
-//		fleet.WithPlacement(placement.NewCostAware(loadmgr.Options{Seed: 1})),
+//		fleet.WithPlacement(placement.NewCostAware(placement.Tuning{Seed: 1})),
 //		fleet.WithResultCache(1024),
 //	)
 //
@@ -62,7 +62,6 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/backend"
 	"repro/internal/chaos"
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 	"repro/internal/tenant"
 	"repro/internal/trace"
@@ -417,12 +416,6 @@ var (
 	ErrTenantUnknown = errors.New("fleet: unknown tenant")
 )
 
-// ErrClosed is returned by operations on a closed fleet.
-//
-// Deprecated: use ErrFleetClosed (the same error instance; errors.Is
-// matches either name).
-var ErrClosed = ErrFleetClosed
-
 // Open builds and starts a fleet from functional options. WithModule,
 // WithProvision, and a fleet size (WithShards or WithBackends) are
 // required; everything else defaults: homogeneous baseline backends,
@@ -454,11 +447,7 @@ func Open(opts ...Option) (*Fleet, error) {
 		f.met = newFleetMetrics(cfg.met)
 	}
 	for i := 0; i < cfg.shards; i++ {
-		var cache *loadmgr.ResultCache
-		if cfg.cacheSize > 0 {
-			cache = loadmgr.NewResultCache(cfg.cacheSize)
-		}
-		sh, err := newShard(i, &f.cfg, backend.ProfileOf(cfg.backends, i), cache)
+		sh, err := newShard(i, &f.cfg, backend.ProfileOf(cfg.backends, i))
 		if err != nil {
 			return nil, err
 		}
@@ -518,7 +507,7 @@ func (f *Fleet) send(sid int, j *job) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.closed {
-		return ErrClosed
+		return ErrFleetClosed
 	}
 	if f.down[sid] {
 		return ErrShardDown
@@ -536,7 +525,7 @@ func (f *Fleet) route(req *Request, j *job) (int, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.closed {
-		return -1, ErrClosed
+		return -1, ErrFleetClosed
 	}
 	if err := f.checkTenant(req.Tenant); err != nil {
 		return -1, err
@@ -643,7 +632,7 @@ func (f *Fleet) submitGrouped(n int, reqOf func(int) *Request,
 	f.mu.RLock()
 	if f.closed {
 		f.mu.RUnlock()
-		return nil, ErrClosed
+		return nil, ErrFleetClosed
 	}
 	perShard := make([][]int, len(f.shards))
 	for i := 0; i < n; i++ {
@@ -856,7 +845,7 @@ func (f *Fleet) rebalance() (int, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return 0, ErrClosed
+		return 0, ErrFleetClosed
 	}
 	for _, mv := range moves {
 		// A move touching a dead shard is stale (planned from heat that

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/backend"
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 )
 
@@ -61,7 +60,7 @@ func runRouteScript(t *testing.T, ops []routeOp) ([]Response, []uint64, []int) {
 		t.Fatal(err)
 	}
 	rep := placement.NewReplicated(placement.ReplicatedConfig{
-		Options:     loadmgr.Options{ImbalanceThreshold: 1.05, Seed: 11},
+		Tuning:      placement.Tuning{ImbalanceThreshold: 1.05, Seed: 11},
 		MaxReplicas: 2,
 	})
 	f, err := Open(append(testOpts(0),

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/loadmgr"
 	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/trace"
@@ -49,7 +48,7 @@ func runKillDrill(t *testing.T, extra ...Option) drillOutcome {
 	t.Helper()
 	const shards = 3
 	rep := placement.NewReplicated(placement.ReplicatedConfig{
-		Options:     loadmgr.Options{ImbalanceThreshold: 1.05, Seed: 7},
+		Tuning:      placement.Tuning{ImbalanceThreshold: 1.05, Seed: 7},
 		MaxReplicas: shards,
 	})
 	opts := append(testOpts(shards),

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/autoscale"
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 )
 
@@ -183,8 +182,8 @@ func TestSwapPlacementAppliesAtBarrier(t *testing.T) {
 		all = append(all, resps...)
 
 		before := f.placement()
-		if err := f.SwapPlacement(placement.NewHeatMigrate(loadmgr.Options{
-			Migrate: true, ImbalanceThreshold: 1.05, Seed: 7,
+		if err := f.SwapPlacement(placement.NewHeatMigrate(placement.Tuning{
+			ImbalanceThreshold: 1.05, Seed: 7,
 		})); err != nil {
 			t.Fatalf("SwapPlacement: %v", err)
 		}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 )
 
@@ -17,7 +16,7 @@ import (
 // idempotent-aware provision, so incr is actually replicable).
 func repOpts(shards, maxReplicas int) ([]Option, *placement.Replicated) {
 	rep := placement.NewReplicated(placement.ReplicatedConfig{
-		Options:     loadmgr.Options{ImbalanceThreshold: 1.05, Seed: 7},
+		Tuning:      placement.Tuning{ImbalanceThreshold: 1.05, Seed: 7},
 		MaxReplicas: maxReplicas,
 	})
 	opts := append(testOpts(shards),

@@ -9,7 +9,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/kern"
-	"repro/internal/loadmgr"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 )
@@ -169,8 +168,8 @@ type ShardStats struct {
 	Syscalls        uint64 `json:"syscalls"`
 	LiveSessions    int    `json:"live_sessions"`
 	Evictions       uint64 `json:"evictions"`
-	// Result-cache counters (zero unless the fleet runs a loadmgr
-	// manager with caching enabled).
+	// Result-cache counters (zero unless the fleet runs with
+	// WithResultCache).
 	CacheHits      uint64 `json:"cache_hits"`
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheEvictions uint64 `json:"cache_evictions"`
@@ -249,10 +248,10 @@ type shard struct {
 	// idle gaps to the next scheduled arrival.
 	idleCycles uint64
 
-	// Load-management state (nil/zero when the fleet has no manager):
-	// cache memoizes idempotent responses, idemp marks which funcIDs
-	// qualify (from the module spec), mid keys cache entries by module.
-	cache       *loadmgr.ResultCache
+	// Load-management state: cache (nil without WithResultCache)
+	// memoizes idempotent responses, idemp marks which funcIDs qualify
+	// (from the module spec), mid keys cache entries by module.
+	cache       *resultCache
 	idemp       map[uint32]bool
 	mid         int
 	migratedOut uint64
@@ -293,7 +292,7 @@ type shard struct {
 	err   error
 }
 
-func newShard(id int, cfg *config, profile backend.Profile, cache *loadmgr.ResultCache) (*shard, error) {
+func newShard(id int, cfg *config, profile backend.Profile) (*shard, error) {
 	sh := &shard{
 		id:      id,
 		profile: profile,
@@ -316,7 +315,8 @@ func newShard(id int, cfg *config, profile backend.Profile, cache *loadmgr.Resul
 		return nil, fmt.Errorf("fleet: shard %d: module %s v%d not registered by Provision",
 			id, cfg.module, cfg.version)
 	}
-	if sh.cache = cache; sh.cache != nil {
+	if cfg.cacheSize > 0 {
+		sh.cache = newResultCache(cfg.cacheSize)
 		// sh.idemp is filled in by Open, once, fleet-wide: provisioning
 		// is identical across shards, so the derivation is shared.
 		sh.mid = sh.sm.Module(mid).ID

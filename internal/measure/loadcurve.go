@@ -24,7 +24,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/fleet"
-	"repro/internal/loadmgr"
 	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/tenant"
@@ -56,25 +55,29 @@ type LoadCurveConfig struct {
 	ZipfS float64
 	// ArgsCardinality bounds the distinct argument values drawn (0 =
 	// every call unique). Small values make the workload idempotent in
-	// practice — repeated (func, args) sites — so the loadmgr result
-	// cache has something to hit.
+	// practice — repeated (func, args) sites — so the result cache
+	// (CacheSize) has something to hit.
 	ArgsCardinality int
 	// Epochs splits each point's schedule into this many back-to-back
 	// RunSchedule barriers (min 1). Each barrier is a rebalance
 	// opportunity, so migration (and replica resizing) needs Epochs >= 2
 	// to act within a point.
 	Epochs int
-	// LoadManager, when non-nil, tunes the measured fleet's placement
-	// and caching: CacheSize maps to fleet.WithResultCache, and
-	// Migrate/HeatOnly select the placement.CostAware or
-	// placement.HeatMigrate strategy (with the remaining fields as
-	// tuning), mirroring the historical loadmgr wiring.
-	LoadManager *loadmgr.Options
+	// Rebalance migrates hot keys between shards at the epoch barriers:
+	// the placement.CostAware strategy, or placement.HeatMigrate under
+	// HeatOnly. Either is tuned with placement.Tuning{Seed: Seed}.
+	Rebalance bool
+	// HeatOnly makes migration ignore backend cost factors and balance
+	// raw heat, the A/B baseline on mixed fleets.
+	HeatOnly bool
+	// CacheSize gives every shard a result cache of this many entries
+	// (fleet.WithResultCache); 0 disables caching.
+	CacheSize int
 	// Replicas, when > 0, swaps the placement strategy for
 	// placement.Replicated with this replica-set cap: idempotent hot
 	// keys are served from up to Replicas shards at once, resized at
-	// epoch barriers. LoadManager (if set) still tunes heat/migration
-	// and the result cache.
+	// epoch barriers. Rebalance and HeatOnly still govern migration of
+	// the unreplicated keys.
 	Replicas int
 
 	// Backends assigns a machine-class profile to every shard (see
@@ -468,23 +471,23 @@ func tenantSchedule(cfg LoadCurveConfig, rate float64, incr uint32) ([]fleet.Tim
 // after the run; nil otherwise.
 func curvePlacement(cfg LoadCurveConfig) ([]fleet.Option, *placement.Replicated) {
 	var opts []fleet.Option
-	var tuning loadmgr.Options
-	if lm := cfg.LoadManager; lm != nil {
-		tuning = *lm
-		if lm.CacheSize > 0 {
-			opts = append(opts, fleet.WithResultCache(lm.CacheSize))
-		}
+	if cfg.CacheSize > 0 {
+		opts = append(opts, fleet.WithResultCache(cfg.CacheSize))
 	}
-	if cfg.Replicas > 0 {
+	tuning := placement.Tuning{Seed: cfg.Seed}
+	switch {
+	case cfg.Replicas > 0:
 		rep := placement.NewReplicated(placement.ReplicatedConfig{
-			Options:     tuning,
+			Tuning:      tuning,
+			Migrate:     cfg.Rebalance,
 			MaxReplicas: cfg.Replicas,
-			HeatOnly:    tuning.HeatOnly,
+			HeatOnly:    cfg.HeatOnly,
 		})
 		return append(opts, fleet.WithPlacement(rep)), rep
-	}
-	if p := placement.Legacy(tuning); p != nil {
-		opts = append(opts, fleet.WithPlacement(p))
+	case cfg.Rebalance && cfg.HeatOnly:
+		opts = append(opts, fleet.WithPlacement(placement.NewHeatMigrate(tuning)))
+	case cfg.Rebalance:
+		opts = append(opts, fleet.WithPlacement(placement.NewCostAware(tuning)))
 	}
 	return opts, nil
 }
@@ -898,6 +901,9 @@ func buildCurve(name string, cfg LoadCurveConfig, points []LoadPoint) *BenchLoad
 		ZipfS:         cfg.ZipfS,
 		ArgsCard:      cfg.ArgsCardinality,
 		Epochs:        cfg.Epochs,
+		Rebalance:     cfg.Rebalance,
+		HeatOnly:      cfg.HeatOnly,
+		CacheSize:     cfg.CacheSize,
 		Replicas:      cfg.Replicas,
 		Chaos:         cfg.Chaos,
 		SLOMicros:     cfg.SLOMicros,
@@ -915,11 +921,6 @@ func buildCurve(name string, cfg LoadCurveConfig, points []LoadPoint) *BenchLoad
 		if lc.RewarmBudgetCycles == 0 {
 			lc.RewarmBudgetCycles = chaos.DefaultRewarmBudgetCycles
 		}
-	}
-	if lm := cfg.LoadManager; lm != nil {
-		lc.Rebalance = lm.Migrate
-		lc.CacheSize = lm.CacheSize
-		lc.HeatOnly = lm.HeatOnly
 	}
 	if lc.KneeIndex >= 0 {
 		lc.KneeOfferedCPS = points[lc.KneeIndex].OfferedPerSec

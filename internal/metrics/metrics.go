@@ -1,6 +1,6 @@
 // Package metrics is the fleet's unified metrics registry. It folds
 // the counters that previously lived as ad-hoc fields — fleet Stats,
-// placement pool bindings, loadmgr cache hit/miss, autoscaler
+// placement pool bindings, result-cache hit/miss, autoscaler
 // adds/drains, chaos re-warms — into one namespace with Prometheus
 // text exposition and an HTTP handler, as groundwork for the
 // long-running smodfleetd server mode.

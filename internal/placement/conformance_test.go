@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/loadmgr"
 )
 
 // strategies lists the conformance subjects; each factory returns a
@@ -33,7 +31,7 @@ func strategies() []struct {
 	name string
 	mk   func() Placement
 } {
-	tuning := loadmgr.Options{ImbalanceThreshold: 1.05, Seed: 3}
+	tuning := Tuning{ImbalanceThreshold: 1.05, Seed: 3}
 	return []struct {
 		name string
 		mk   func() Placement
@@ -42,7 +40,7 @@ func strategies() []struct {
 		{"heatmigrate", func() Placement { return NewHeatMigrate(tuning) }},
 		{"costaware", func() Placement { return NewCostAware(tuning) }},
 		{"replicated", func() Placement {
-			return NewReplicated(ReplicatedConfig{Options: tuning, MaxReplicas: 3})
+			return NewReplicated(ReplicatedConfig{Tuning: tuning, MaxReplicas: 3})
 		}},
 	}
 }
@@ -139,7 +137,7 @@ func TestConformanceRebalanceBounds(t *testing.T) {
 			}
 			// Moves per round are bounded by the migrator's cap plus the
 			// replica budget.
-			bound := loadmgr.DefaultMaxMovesPerRound + DefaultReplicaBudget
+			bound := DefaultMaxMovesPerRound + DefaultReplicaBudget
 			for round := 0; round < 6; round++ {
 				skewedSequence(p, 8, 24)
 				moves := p.Rebalance()

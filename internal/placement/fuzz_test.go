@@ -12,8 +12,6 @@ package placement
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/loadmgr"
 )
 
 const (
@@ -64,7 +62,7 @@ func fuzzStrategies() []struct {
 	name string
 	mk   func() Placement
 } {
-	tuning := loadmgr.Options{Migrate: true, ImbalanceThreshold: 1.05, Seed: 13}
+	tuning := Tuning{ImbalanceThreshold: 1.05, Seed: 13}
 	return []struct {
 		name string
 		mk   func() Placement
@@ -73,7 +71,7 @@ func fuzzStrategies() []struct {
 		{"heatmigrate", func() Placement { return NewHeatMigrate(tuning) }},
 		{"costaware", func() Placement { return NewCostAware(tuning) }},
 		{"replicated", func() Placement {
-			return NewReplicated(ReplicatedConfig{Options: tuning, MaxReplicas: 2})
+			return NewReplicated(ReplicatedConfig{Tuning: tuning, Migrate: true, MaxReplicas: 2})
 		}},
 	}
 }

@@ -1,4 +1,4 @@
-package loadmgr
+package placement
 
 import "sync"
 
@@ -6,14 +6,16 @@ import "sync"
 // long-lived tracker does not retain every key ever seen.
 const minHeat = 1e-3
 
-// HeatTracker maintains EWMA call-rate estimates per client key and
+// heatTracker maintains EWMA call-rate estimates per client key and
 // per shard. Calls are counted into the current round's window
-// (Record); Advance folds the window into the moving averages and
-// opens the next round. Rounds align with the fleet's rebalance
+// (RecordTenant); Advance folds the window into the moving averages
+// and opens the next round. Rounds align with the fleet's rebalance
 // barriers, so heat — like everything else under RunPlan — is a pure
 // function of the request sequence.
-type HeatTracker struct {
-	mu    sync.Mutex
+type heatTracker struct {
+	mu sync.Mutex
+	// alpha is the EWMA weight of the newest round (heatAlpha; unit
+	// tests pin other values to make the arithmetic exact).
 	alpha float64
 
 	keyHeat  map[string]float64 // EWMA calls/round per key
@@ -29,18 +31,12 @@ type HeatTracker struct {
 
 	shardHeat []float64 // EWMA calls/round per shard
 	shardWin  []float64 // current round's counts per shard
-
-	rounds uint64
 }
 
-// NewHeatTracker builds a tracker over the given shard count. alpha in
-// (0, 1] is the EWMA weight of the newest round.
-func NewHeatTracker(shards int, alpha float64) *HeatTracker {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultAlpha
-	}
-	return &HeatTracker{
-		alpha:      alpha,
+// newHeatTracker builds a tracker over the given shard count.
+func newHeatTracker(shards int) *heatTracker {
+	return &heatTracker{
+		alpha:      heatAlpha,
 		keyHeat:    map[string]float64{},
 		keyWin:     map[string]float64{},
 		keyShard:   map[string]int{},
@@ -52,16 +48,12 @@ func NewHeatTracker(shards int, alpha float64) *HeatTracker {
 	}
 }
 
-// Record counts n calls for key routed to shard in the current round.
-func (h *HeatTracker) Record(key string, shard int, n float64) {
-	h.RecordTenant(key, "", shard, n)
-}
-
-// RecordTenant is Record with the tenant class the call ran under.
-// Empty tenant is plain Record; otherwise the call also feeds the
-// tenant's demand EWMA and tags the key with its latest class, which
-// is what lets the migrator tell an aggressor's keys from a victim's.
-func (h *HeatTracker) RecordTenant(key, tenantName string, shard int, n float64) {
+// RecordTenant counts n calls for key routed to shard in the current
+// round, under the tenant class the call ran as. An empty tenant
+// counts the call alone; otherwise the call also feeds the tenant's
+// demand EWMA and tags the key with its latest class, which is what
+// lets the migrator tell an aggressor's keys from a victim's.
+func (h *heatTracker) RecordTenant(key, tenantName string, shard int, n float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if shard < 0 || shard >= len(h.shardWin) {
@@ -79,7 +71,7 @@ func (h *HeatTracker) RecordTenant(key, tenantName string, shard int, n float64)
 // Advance closes the current round: every key's and shard's window
 // count folds into its EWMA, windows reset, and keys whose heat
 // decayed below the retention floor are forgotten.
-func (h *HeatTracker) Advance() {
+func (h *heatTracker) Advance() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for key, heat := range h.keyHeat {
@@ -99,7 +91,7 @@ func (h *HeatTracker) Advance() {
 		if next := h.alpha * win; next >= minHeat {
 			h.keyHeat[key] = next
 		} else {
-			// Too faint to track: drop the placement entry Record left.
+			// Too faint to track: drop the placement entry RecordTenant left.
 			delete(h.keyShard, key)
 			delete(h.keyTenant, key)
 		}
@@ -126,28 +118,20 @@ func (h *HeatTracker) Advance() {
 		}
 	}
 	h.tenantWin = map[string]float64{}
-	h.rounds++
 }
 
 // AddShard grows the tracker by one shard with zero heat — the
 // elastic-resize hook. The new shard accumulates heat from its first
-// Record; existing aggregates are untouched.
-func (h *HeatTracker) AddShard() {
+// RecordTenant; existing aggregates are untouched.
+func (h *heatTracker) AddShard() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.shardHeat = append(h.shardHeat, 0)
 	h.shardWin = append(h.shardWin, 0)
 }
 
-// Rounds returns how many rounds have been closed.
-func (h *HeatTracker) Rounds() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.rounds
-}
-
 // ShardHeat returns a snapshot of per-shard EWMA heat.
-func (h *HeatTracker) ShardHeat() []float64 {
+func (h *heatTracker) ShardHeat() []float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]float64, len(h.shardHeat))
@@ -155,20 +139,9 @@ func (h *HeatTracker) ShardHeat() []float64 {
 	return out
 }
 
-// KeyHeat returns key's EWMA heat and the shard the tracker believes
-// it lives on (-1 when unknown).
-func (h *HeatTracker) KeyHeat(key string) (heat float64, shard int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if sid, ok := h.keyShard[key]; ok {
-		return h.keyHeat[key], sid
-	}
-	return h.keyHeat[key], -1
-}
-
 // TenantHeat returns a snapshot of per-tenant EWMA demand. Empty on
 // untenanted fleets.
-func (h *HeatTracker) TenantHeat() map[string]float64 {
+func (h *heatTracker) TenantHeat() map[string]float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make(map[string]float64, len(h.tenantHeat))
@@ -180,7 +153,7 @@ func (h *HeatTracker) TenantHeat() map[string]float64 {
 
 // KeyTenant returns the tenant class key last called under ("" when
 // untracked or untenanted).
-func (h *HeatTracker) KeyTenant(key string) string {
+func (h *heatTracker) KeyTenant(key string) string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.keyTenant[key]
@@ -189,32 +162,27 @@ func (h *HeatTracker) KeyTenant(key string) string {
 // ImbalanceScore is max shard heat over mean shard heat: 1 is perfect
 // balance, N (the shard count) is everything on one shard. Returns 0
 // when the fleet has seen no heat at all.
-func (h *HeatTracker) ImbalanceScore() float64 {
+func (h *heatTracker) ImbalanceScore() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return imbalance(h.shardHeat)
-}
-
-// imbalance computes max/mean over a heat vector.
-func imbalance(heat []float64) float64 {
 	var max, sum float64
-	for _, v := range heat {
+	for _, v := range h.shardHeat {
 		sum += v
 		if v > max {
 			max = v
 		}
 	}
-	if sum <= 0 || len(heat) == 0 {
+	if sum <= 0 || len(h.shardHeat) == 0 {
 		return 0
 	}
-	return max / (sum / float64(len(heat)))
+	return max / (sum / float64(len(h.shardHeat)))
 }
 
 // Rebind moves key's heat (and the tracker's placement view) to shard
 // `to`, mirroring a migration: the key's EWMA leaves its old shard's
 // aggregate and joins the new one, so the very next imbalance reading
 // reflects the move instead of waiting a full decay cycle.
-func (h *HeatTracker) Rebind(key string, to int) {
+func (h *heatTracker) Rebind(key string, to int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if to < 0 || to >= len(h.shardHeat) {
@@ -245,7 +213,7 @@ func (h *HeatTracker) Rebind(key string, to int) {
 
 // keysOn returns the keys currently placed on shard, for the migrator.
 // Caller must hold no lock; the snapshot is taken under the tracker's.
-func (h *HeatTracker) keysOn(shard int) map[string]float64 {
+func (h *heatTracker) keysOn(shard int) map[string]float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := map[string]float64{}

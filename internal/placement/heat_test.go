@@ -1,4 +1,4 @@
-package loadmgr
+package placement
 
 import (
 	"math"
@@ -7,8 +7,32 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// trackerAlpha builds a tracker with an explicit EWMA weight, so the
+// tests' arithmetic stays exact.
+func trackerAlpha(shards int, alpha float64) *heatTracker {
+	h := newHeatTracker(shards)
+	h.alpha = alpha
+	return h
+}
+
+// Record counts untenanted calls, the shorthand the tests feed heat with.
+func (h *heatTracker) Record(key string, shard int, n float64) {
+	h.RecordTenant(key, "", shard, n)
+}
+
+// KeyHeat returns key's EWMA heat and the shard the tracker believes
+// it lives on (-1 when unknown).
+func (h *heatTracker) KeyHeat(key string) (heat float64, shard int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if sid, ok := h.keyShard[key]; ok {
+		return h.keyHeat[key], sid
+	}
+	return h.keyHeat[key], -1
+}
+
 func TestHeatEWMAFold(t *testing.T) {
-	h := NewHeatTracker(2, 0.5)
+	h := trackerAlpha(2, 0.5)
 	for i := 0; i < 8; i++ {
 		h.Record("hot", 0, 1)
 	}
@@ -38,7 +62,7 @@ func TestHeatEWMAFold(t *testing.T) {
 }
 
 func TestHeatDecayForgetsKeys(t *testing.T) {
-	h := NewHeatTracker(1, 0.5)
+	h := trackerAlpha(1, 0.5)
 	h.Record("once", 0, 1)
 	h.Advance()
 	for i := 0; i < 20; i++ {
@@ -56,7 +80,7 @@ func TestHeatDecayForgetsKeys(t *testing.T) {
 }
 
 func TestImbalanceScore(t *testing.T) {
-	h := NewHeatTracker(4, 0.5)
+	h := trackerAlpha(4, 0.5)
 	if s := h.ImbalanceScore(); s != 0 {
 		t.Fatalf("imbalance of silent fleet = %v, want 0", s)
 	}
@@ -68,7 +92,7 @@ func TestImbalanceScore(t *testing.T) {
 		t.Fatalf("one-shard imbalance = %v, want 4 (the shard count)", s)
 	}
 
-	h2 := NewHeatTracker(2, 1.0)
+	h2 := trackerAlpha(2, 1.0)
 	h2.Record("a", 0, 3)
 	h2.Record("b", 1, 3)
 	h2.Advance()
@@ -78,7 +102,7 @@ func TestImbalanceScore(t *testing.T) {
 }
 
 func TestHeatRebindMovesAggregates(t *testing.T) {
-	h := NewHeatTracker(2, 1.0)
+	h := trackerAlpha(2, 1.0)
 	h.Record("k", 0, 6)
 	h.Record("other", 0, 2)
 	h.Advance()
@@ -101,11 +125,47 @@ func TestHeatRebindMovesAggregates(t *testing.T) {
 }
 
 func TestRecordIgnoresBadShard(t *testing.T) {
-	h := NewHeatTracker(2, 0.5)
+	h := trackerAlpha(2, 0.5)
 	h.Record("k", -1, 1)
 	h.Record("k", 7, 1)
 	h.Advance()
 	if heat, _ := h.KeyHeat("k"); heat != 0 {
 		t.Fatalf("out-of-range record leaked heat %v", heat)
+	}
+}
+
+func TestRecordTenantHeat(t *testing.T) {
+	h := trackerAlpha(2, 0.5)
+	h.RecordTenant("a1", "agg", 0, 6)
+	h.RecordTenant("v1", "vic", 1, 2)
+	h.Record("plain", 0, 1) // untenanted traffic stays untagged
+	h.Advance()
+
+	th := h.TenantHeat()
+	if got := th["agg"]; !almost(got, 3) {
+		t.Fatalf("agg heat = %v, want 3", got)
+	}
+	if got := th["vic"]; !almost(got, 1) {
+		t.Fatalf("vic heat = %v, want 1", got)
+	}
+	if _, ok := th[""]; ok {
+		t.Fatal("untenanted traffic leaked into tenant heat")
+	}
+	if got := h.KeyTenant("a1"); got != "agg" {
+		t.Fatalf("KeyTenant(a1) = %q", got)
+	}
+	if got := h.KeyTenant("plain"); got != "" {
+		t.Fatalf("KeyTenant(plain) = %q, want empty", got)
+	}
+
+	// Idle tenants decay out like idle keys.
+	for i := 0; i < 20; i++ {
+		h.Advance()
+	}
+	if th := h.TenantHeat(); len(th) != 0 {
+		t.Fatalf("idle tenant heat not reclaimed: %v", th)
+	}
+	if got := h.KeyTenant("a1"); got != "" {
+		t.Fatalf("decayed key kept its tenant tag: %q", got)
 	}
 }

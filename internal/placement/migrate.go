@@ -1,13 +1,51 @@
 package placement
 
-import (
-	"errors"
-
-	"repro/internal/loadmgr"
-)
+import "errors"
 
 // errRebound rejects a second Bind of a single-use strategy instance.
 var errRebound = errors.New("placement: strategy already bound to a fleet")
+
+// Tuning tunes the heat-driven strategies (HeatMigrate, CostAware, and
+// Replicated's migration half). Zero fields take the defaults.
+type Tuning struct {
+	// Seed drives the migrator's tie-break among equally hot candidate
+	// keys; fixed seed, fixed plans.
+	Seed int64
+	// ImbalanceThreshold is the max / mean shard cost ratio above which
+	// the migrator starts moving keys (0 = DefaultImbalanceThreshold).
+	ImbalanceThreshold float64
+	// MaxMovesPerRound bounds migrations per rebalance barrier
+	// (0 = DefaultMaxMovesPerRound).
+	MaxMovesPerRound int
+}
+
+// Defaults for zero Tuning fields.
+const (
+	DefaultImbalanceThreshold = 1.2
+	DefaultMaxMovesPerRound   = 4
+)
+
+// Fixed heat-model constants: nothing tunes these per fleet.
+const (
+	// heatAlpha is the EWMA smoothing factor in (0, 1]: the weight of
+	// the newest round's counts, for key/shard heat and for
+	// Replicated's idempotent-call heat alike.
+	heatAlpha = 0.5
+	// cooldownRounds freezes a migrated key for this many rebalance
+	// rounds so the planner cannot flap it between shards.
+	cooldownRounds = 2
+)
+
+// withDefaults resolves zero fields.
+func (t Tuning) withDefaults() Tuning {
+	if t.ImbalanceThreshold <= 0 {
+		t.ImbalanceThreshold = DefaultImbalanceThreshold
+	}
+	if t.MaxMovesPerRound <= 0 {
+		t.MaxMovesPerRound = DefaultMaxMovesPerRound
+	}
+	return t
+}
 
 // balancer is the shared core of every heat-driven strategy: the
 // sticky pool, the EWMA heat tracker fed from the routing path, and
@@ -16,10 +54,9 @@ var errRebound = errors.New("placement: strategy already bound to a fleet")
 // the migrator sees the fleet's cost factors; Replicated layers
 // replica fan-out on top.
 type balancer struct {
-	opts loadmgr.Options
 	pool *Pool
-	heat *loadmgr.HeatTracker
-	mig  *loadmgr.Migrator
+	heat *heatTracker
+	mig  *migrator
 	// costw is the per-shard cost-factor vector handed to the migrator;
 	// nil balances raw heat (the heat-only A/B baseline). The pool is
 	// always cost-weighted regardless — machine capacity is a fact of
@@ -32,11 +69,11 @@ type balancer struct {
 	down []bool
 }
 
-func newBalancer(opts loadmgr.Options, useCost bool) balancer {
-	return balancer{opts: opts, useCost: useCost}
+func newBalancer(t Tuning, useCost bool) balancer {
+	return balancer{mig: newMigrator(t), useCost: useCost}
 }
 
-// bind builds the pool/tracker/migrator for a fleet of `shards`.
+// bind builds the pool and heat tracker for a fleet of `shards`.
 func (b *balancer) bind(shards int, costFactors []float64) error {
 	if b.pool != nil {
 		return errRebound
@@ -46,8 +83,7 @@ func (b *balancer) bind(shards int, costFactors []float64) error {
 		return err
 	}
 	b.pool = NewWeightedPool(w)
-	b.heat = loadmgr.NewHeatTracker(shards, b.opts.Alpha)
-	b.mig = loadmgr.NewMigrator(b.opts)
+	b.heat = newHeatTracker(shards)
 	b.down = make([]bool, shards)
 	if b.useCost {
 		b.costw = w
@@ -72,9 +108,9 @@ func (b *balancer) route(c Call) int {
 
 // SetTenantWeights implements TenantAware: the QoS layer hands the
 // migrator its tenant weight table so plans move aggressor keys first.
-// Nil clears the bias. Must be called after Bind.
+// Nil clears the bias.
 func (b *balancer) SetTenantWeights(weights map[string]int) {
-	b.mig.SetTenantWeights(weights)
+	b.mig.setTenantWeights(weights)
 }
 
 // planMigrations plans this barrier's migrations over the
@@ -90,11 +126,7 @@ func (b *balancer) planMigrations(skip map[string]bool) []Move {
 			mask[i] = true
 		}
 	}
-	var moves []Move
-	for _, mv := range b.mig.PlanLive(b.heat, b.costw, skip, mask) {
-		moves = append(moves, Move{Kind: MoveMigrate, Key: mv.Key, From: mv.From, To: mv.To})
-	}
-	return moves
+	return b.mig.plan(b.heat, b.costw, skip, mask)
 }
 
 // OnShardUp implements Placement for every balancer-based strategy:
@@ -175,38 +207,16 @@ func (b *balancer) Rebalance() []Move {
 // balanced), for observability via the concrete strategy types.
 func (b *balancer) Imbalance() float64 { return b.heat.ImbalanceScore() }
 
-// Legacy maps the historical loadmgr.Options migration switches onto
-// a strategy — the one place the old field-bag semantics are spelled
-// out, shared by the fleet's deprecated Config shim and the bench
-// harness. Migrate selects CostAware (HeatMigrate under HeatOnly);
-// without Migrate there is no strategy to attach (nil — the caller
-// keeps the default sticky placement). CacheSize is not placement:
-// callers map it to fleet.WithResultCache themselves.
-func Legacy(lm loadmgr.Options) Placement {
-	switch {
-	case !lm.Migrate:
-		return nil
-	case lm.HeatOnly:
-		return NewHeatMigrate(lm)
-	default:
-		return NewCostAware(lm)
-	}
-}
-
 // HeatMigrate migrates hot keys off overloaded shards at rebalance
 // barriers, balancing raw EWMA heat as if every shard were the same
 // machine class (the heat-only A/B baseline on mixed fleets; on a
 // homogeneous fleet it is THE migration strategy).
 type HeatMigrate struct{ balancer }
 
-// NewHeatMigrate builds a heat-only migrating strategy. Zero Options
-// fields take the loadmgr defaults; Seed pins the tie-break.
-// Constructing the strategy is itself the migration opt-in, so
-// Options.Migrate is ignored here (unlike Replicated, where it gates
-// the migration half), and Options.CacheSize is ignored everywhere in
-// this package — result caching is the fleet's WithResultCache.
-func NewHeatMigrate(opts loadmgr.Options) *HeatMigrate {
-	return &HeatMigrate{newBalancer(opts, false)}
+// NewHeatMigrate builds a heat-only migrating strategy. Zero Tuning
+// fields take the defaults; Seed pins the tie-break.
+func NewHeatMigrate(t Tuning) *HeatMigrate {
+	return &HeatMigrate{newBalancer(t, false)}
 }
 
 // Bind implements Placement.
@@ -220,11 +230,10 @@ func (s *HeatMigrate) Bind(shards int, costFactors []float64) error {
 // factors 1.0) it degenerates to HeatMigrate bit for bit.
 type CostAware struct{ balancer }
 
-// NewCostAware builds a cost-aware migrating strategy. Like
-// NewHeatMigrate, constructing it is the migration opt-in:
-// Options.Migrate and Options.CacheSize are ignored (see there).
-func NewCostAware(opts loadmgr.Options) *CostAware {
-	return &CostAware{newBalancer(opts, true)}
+// NewCostAware builds a cost-aware migrating strategy, tuned like
+// NewHeatMigrate.
+func NewCostAware(t Tuning) *CostAware {
+	return &CostAware{newBalancer(t, true)}
 }
 
 // Bind implements Placement.

@@ -1,17 +1,11 @@
-package loadmgr
+package placement
 
 import (
 	"math/rand"
 	"sort"
 )
 
-// Migration is one planned key move.
-type Migration struct {
-	Key      string
-	From, To int
-}
-
-// Migrator turns heat snapshots into bounded migration plans. It is
+// migrator turns heat snapshots into bounded migration plans. It is
 // greedy over *estimated completion cost* — each shard's heat weighted
 // by its machine-class cost factor: while the costliest shard exceeds
 // the imbalance threshold, move its hottest eligible key to the
@@ -20,13 +14,13 @@ type Migration struct {
 // heat-only plan bit for bit; on a mixed fleet it is what routes hot
 // keys onto fast shards and leaves the cold tail on slow ones, since a
 // slow shard saturates at a fraction of the raw heat a fast one
-// absorbs. Migrated keys cool down for a few rounds so the planner
+// absorbs. Migrated keys cool down for cooldownRounds so the planner
 // cannot flap a key back and forth; ties between equally hot
 // candidates break through a seeded rng over a fully sorted candidate
 // list, so a fixed seed gives a fixed plan regardless of map iteration
 // order.
-type Migrator struct {
-	opts     Options
+type migrator struct {
+	tune     Tuning
 	rng      *rand.Rand
 	round    uint64
 	cooldown map[string]uint64 // key -> round at which it thaws
@@ -40,9 +34,19 @@ type Migrator struct {
 	tweights map[string]int
 }
 
-// SetTenantWeights installs (or, with nil, clears) the QoS tenant
+// newMigrator builds a migrator from (defaulted) tuning.
+func newMigrator(t Tuning) *migrator {
+	t = t.withDefaults()
+	return &migrator{
+		tune:     t,
+		rng:      rand.New(rand.NewSource(t.Seed)),
+		cooldown: map[string]uint64{},
+	}
+}
+
+// setTenantWeights installs (or, with nil, clears) the QoS tenant
 // weight table the candidate ordering biases by.
-func (m *Migrator) SetTenantWeights(weights map[string]int) {
+func (m *migrator) setTenantWeights(weights map[string]int) {
 	if len(weights) == 0 {
 		m.tweights = nil
 		return
@@ -52,16 +56,6 @@ func (m *Migrator) SetTenantWeights(weights map[string]int) {
 		w[tn] = v
 	}
 	m.tweights = w
-}
-
-// NewMigrator builds a migrator from (defaulted) options.
-func NewMigrator(opts Options) *Migrator {
-	opts = opts.withDefaults()
-	return &Migrator{
-		opts:     opts,
-		rng:      rand.New(rand.NewSource(opts.Seed)),
-		cooldown: map[string]uint64{},
-	}
 }
 
 // candidate is one movable key on the costliest shard. prio is the
@@ -76,7 +70,7 @@ type candidate struct {
 // its weight share from the tracker's tenant heat: positive for a
 // class pulling more than its fair share (the aggressor), negative for
 // one under it (the victim). Nil when the bias cannot apply.
-func (m *Migrator) tenantOvershare(h *HeatTracker) map[string]float64 {
+func (m *migrator) tenantOvershare(h *heatTracker) map[string]float64 {
 	if len(m.tweights) == 0 {
 		return nil
 	}
@@ -106,33 +100,27 @@ func weightOf(costw []float64, i int) float64 {
 	return 1
 }
 
-// Plan computes this round's migrations from the tracker's current
+// plan computes this round's migrations from the tracker's current
 // heat, weighted by the per-shard cost factors (nil = homogeneous),
 // and applies them to the tracker's placement view (Rebind), so
 // consecutive calls converge instead of re-proposing the same move.
-// Keys in `skip` (nil = none) are fenced off — the placement layer
-// uses this to keep replicated keys, whose home is a whole replica
-// set, out of single-home migration plans. The fleet applies the
-// actual session moves afterwards.
-func (m *Migrator) Plan(h *HeatTracker, costw []float64, skip map[string]bool) []Migration {
-	return m.PlanLive(h, costw, skip, nil)
-}
-
-// PlanLive is Plan restricted to live shards: shards marked true in
-// `down` (nil = all live) are never picked as a move's source or —
-// the dangerous half, since a dead shard's heat decays toward the
-// coldest in the fleet — its destination. With no shard down it is
-// Plan bit for bit.
-func (m *Migrator) PlanLive(h *HeatTracker, costw []float64, skip map[string]bool, down []bool) []Migration {
+// Keys in `skip` (nil = none) are fenced off — Replicated uses this to
+// keep replicated keys, whose home is a whole replica set, out of
+// single-home migration plans. Shards marked true in `down` (nil = all
+// live) are never picked as a move's source or — the dangerous half,
+// since a dead shard's heat decays toward the coldest in the fleet —
+// its destination. The fleet applies the actual session moves
+// afterwards.
+func (m *migrator) plan(h *heatTracker, costw []float64, skip map[string]bool, down []bool) []Move {
 	m.round++
-	var moves []Migration
-	for len(moves) < m.opts.MaxMovesPerRound {
+	var moves []Move
+	for len(moves) < m.tune.MaxMovesPerRound {
 		mv, ok := m.planOne(h, costw, skip, down)
 		if !ok {
 			break
 		}
 		h.Rebind(mv.Key, mv.To)
-		m.cooldown[mv.Key] = m.round + uint64(m.opts.CooldownRounds)
+		m.cooldown[mv.Key] = m.round + cooldownRounds
 		moves = append(moves, mv)
 	}
 	// Drop thawed entries so the map stays bounded by recent movers.
@@ -147,10 +135,10 @@ func (m *Migrator) PlanLive(h *HeatTracker, costw []float64, skip map[string]boo
 // planOne picks the single best move, or reports balance. All
 // comparisons run over estimated completion cost (heat x cost factor),
 // over live shards only.
-func (m *Migrator) planOne(h *HeatTracker, costw []float64, skip map[string]bool, down []bool) (Migration, bool) {
+func (m *migrator) planOne(h *heatTracker, costw []float64, skip map[string]bool, down []bool) (Move, bool) {
 	heat := h.ShardHeat()
 	if len(heat) < 2 {
-		return Migration{}, false
+		return Move{}, false
 	}
 	cost := make([]float64, len(heat))
 	hot, cold := -1, -1
@@ -171,11 +159,11 @@ func (m *Migrator) planOne(h *HeatTracker, costw []float64, skip map[string]bool
 		}
 	}
 	if live < 2 {
-		return Migration{}, false
+		return Move{}, false
 	}
 	mean := sum / float64(live)
-	if mean <= 0 || hot == cold || cost[hot] < m.opts.ImbalanceThreshold*mean {
-		return Migration{}, false
+	if mean <= 0 || hot == cold || cost[hot] < m.tune.ImbalanceThreshold*mean {
+		return Move{}, false
 	}
 	gap := cost[hot] - cost[cold]
 	wCold := weightOf(costw, cold)
@@ -222,7 +210,7 @@ func (m *Migrator) planOne(h *HeatTracker, costw []float64, skip map[string]bool
 			j++
 		}
 		pick := cands[i+m.rng.Intn(j-i+1)]
-		return Migration{Key: pick.key, From: hot, To: cold}, true
+		return Move{Kind: MoveMigrate, Key: pick.key, From: hot, To: cold}, true
 	}
-	return Migration{}, false
+	return Move{}, false
 }

@@ -1,4 +1,4 @@
-package loadmgr
+package placement
 
 import (
 	"reflect"
@@ -7,8 +7,8 @@ import (
 
 // skewedTracker builds heat with shard 0 clearly overloaded: one big
 // key plus a movable medium key on shard 0, a quiet shard 1.
-func skewedTracker() *HeatTracker {
-	h := NewHeatTracker(2, 1.0)
+func skewedTracker() *heatTracker {
+	h := trackerAlpha(2, 1.0)
 	h.Record("big", 0, 10)
 	h.Record("medium", 0, 4)
 	h.Record("small", 1, 1)
@@ -18,14 +18,14 @@ func skewedTracker() *HeatTracker {
 
 func TestPlanMovesHotKeyToColdShard(t *testing.T) {
 	h := skewedTracker()
-	m := NewMigrator(Options{Migrate: true, MaxMovesPerRound: 1})
-	moves := m.Plan(h, nil, nil)
+	m := newMigrator(Tuning{MaxMovesPerRound: 1})
+	moves := m.plan(h, nil, nil, nil)
 	if len(moves) != 1 {
 		t.Fatalf("plan = %v, want exactly 1 move", moves)
 	}
 	// "big" (heat 10) exceeds the hot/cold gap (13) only if moving it
 	// would not help; here gap = 14-1 = 13 > 10, so big moves first.
-	want := Migration{Key: "big", From: 0, To: 1}
+	want := Move{Kind: MoveMigrate, Key: "big", From: 0, To: 1}
 	if moves[0] != want {
 		t.Fatalf("move = %+v, want %+v", moves[0], want)
 	}
@@ -36,70 +36,67 @@ func TestPlanMovesHotKeyToColdShard(t *testing.T) {
 }
 
 func TestPlanSkipsKeyHotterThanGap(t *testing.T) {
-	h := NewHeatTracker(2, 1.0)
+	h := trackerAlpha(2, 1.0)
 	h.Record("huge", 0, 10)
 	h.Record("med", 0, 3)
 	h.Record("busy", 1, 9)
 	h.Advance()
 	// gap = 13-9 = 4: moving "huge" (10) would invert the imbalance;
 	// the planner must fall through to "med" (3).
-	m := NewMigrator(Options{Migrate: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.01})
-	moves := m.Plan(h, nil, nil)
+	m := newMigrator(Tuning{MaxMovesPerRound: 1, ImbalanceThreshold: 1.01})
+	moves := m.plan(h, nil, nil, nil)
 	if len(moves) != 1 || moves[0].Key != "med" {
 		t.Fatalf("plan = %v, want [med 0->1]", moves)
 	}
 }
 
 func TestPlanRespectsThresholdAndBalance(t *testing.T) {
-	h := NewHeatTracker(2, 1.0)
+	h := trackerAlpha(2, 1.0)
 	h.Record("a", 0, 5)
 	h.Record("b", 1, 5)
 	h.Advance()
-	m := NewMigrator(Options{Migrate: true})
-	if moves := m.Plan(h, nil, nil); len(moves) != 0 {
+	m := newMigrator(Tuning{})
+	if moves := m.plan(h, nil, nil, nil); len(moves) != 0 {
 		t.Fatalf("balanced fleet planned moves: %v", moves)
 	}
 }
 
 func TestPlanCooldownPreventsFlapping(t *testing.T) {
 	h := skewedTracker()
-	m := NewMigrator(Options{Migrate: true, MaxMovesPerRound: 1, CooldownRounds: 10})
-	first := m.Plan(h, nil, nil)
-	if len(first) != 1 {
-		t.Fatalf("first plan = %v, want 1 move", first)
+	m := newMigrator(Tuning{MaxMovesPerRound: 1})
+	first := m.plan(h, nil, nil, nil)
+	if len(first) != 1 || first[0].Key != "big" {
+		t.Fatalf("first plan = %v, want big to move", first)
 	}
-	// Re-skew so the migrated key's new home is now the hot shard; the
-	// cooling key must not move back.
-	moved := first[0].Key
-	for round := 0; round < 3; round++ {
-		h.Record(moved, first[0].To, 20)
-		h.Advance()
-		for _, mv := range m.Plan(h, nil, nil) {
-			if mv.Key == moved {
-				t.Fatalf("round %d re-migrated cooling key %q", round, moved)
-			}
-		}
+	// Re-skew so the migrated key's new home is now the hot shard, next
+	// to a cooler companion: "big" (20) fits the gap (26) and is the
+	// hottest candidate, so only its cooldown keeps it from moving back.
+	h.Record("big", first[0].To, 20)
+	h.Record("buddy", first[0].To, 6)
+	h.Advance()
+	if moves := m.plan(h, nil, nil, nil); len(moves) != 1 || moves[0].Key != "buddy" {
+		t.Fatalf("plan during cooldown = %v, want only buddy to move", moves)
 	}
 }
 
 func TestPlanBoundedByMaxMoves(t *testing.T) {
-	h := NewHeatTracker(4, 1.0)
+	h := trackerAlpha(4, 1.0)
 	for i, key := range []string{"k1", "k2", "k3", "k4", "k5", "k6"} {
 		_ = i
 		h.Record(key, 0, 3)
 	}
 	h.Advance()
-	m := NewMigrator(Options{Migrate: true, MaxMovesPerRound: 2})
-	if moves := m.Plan(h, nil, nil); len(moves) > 2 {
+	m := newMigrator(Tuning{MaxMovesPerRound: 2})
+	if moves := m.plan(h, nil, nil, nil); len(moves) > 2 {
 		t.Fatalf("plan exceeded MaxMovesPerRound: %v", moves)
 	}
 }
 
 func TestPlanDeterministicAcrossSeededRuns(t *testing.T) {
-	run := func(seed int64) [][]Migration {
-		h := NewHeatTracker(3, 0.5)
-		m := NewMigrator(Options{Migrate: true, Seed: seed, ImbalanceThreshold: 1.05})
-		var plans [][]Migration
+	run := func(seed int64) [][]Move {
+		h := trackerAlpha(3, 0.5)
+		m := newMigrator(Tuning{Seed: seed, ImbalanceThreshold: 1.05})
+		var plans [][]Move
 		for round := 0; round < 5; round++ {
 			// Equal-heat keys: the seeded tie-break decides.
 			for i := 0; i < 4; i++ {
@@ -108,7 +105,7 @@ func TestPlanDeterministicAcrossSeededRuns(t *testing.T) {
 				h.Record("z", 0, 1)
 			}
 			h.Advance()
-			plans = append(plans, m.Plan(h, nil, nil))
+			plans = append(plans, m.plan(h, nil, nil, nil))
 		}
 		return plans
 	}
@@ -120,25 +117,25 @@ func TestPlanDeterministicAcrossSeededRuns(t *testing.T) {
 
 // TestPlanSeededTieBreakStableAcrossMapOrder pins the seeded tie-break
 // against Go's randomized map iteration: the candidate set is built
-// from a map (HeatTracker.keysOn), so if any ordering leaked into the
+// from a map (heatTracker.keysOn), so if any ordering leaked into the
 // pick, repeated runs — with keys inserted in different orders to
 // shuffle the map layout — would eventually diverge. Every run must
 // produce the identical plan sequence.
 func TestPlanSeededTieBreakStableAcrossMapOrder(t *testing.T) {
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
-	run := func(insertOrder []string) [][]Migration {
-		h := NewHeatTracker(3, 1.0)
+	run := func(insertOrder []string) [][]Move {
+		h := trackerAlpha(3, 1.0)
 		// All keys equal heat on shard 0: maximal tie-break pressure.
 		for _, k := range insertOrder {
 			h.Record(k, 0, 2)
 		}
 		h.Record("lone", 1, 1)
 		h.Advance()
-		m := NewMigrator(Options{Migrate: true, Seed: 42, MaxMovesPerRound: 3,
-			ImbalanceThreshold: 1.05, CooldownRounds: 1})
-		var plans [][]Migration
+		m := newMigrator(Tuning{Seed: 42, MaxMovesPerRound: 3,
+			ImbalanceThreshold: 1.05})
+		var plans [][]Move
 		for round := 0; round < 4; round++ {
-			plans = append(plans, m.Plan(h, nil, nil))
+			plans = append(plans, m.plan(h, nil, nil, nil))
 			for _, k := range insertOrder {
 				h.Record(k, 0, 2)
 			}
@@ -168,7 +165,7 @@ func TestPlanSeededTieBreakStableAcrossMapOrder(t *testing.T) {
 // higher, so keys must flow slow -> fast — the opposite of what a
 // heat-only plan would do.
 func TestPlanCostAware(t *testing.T) {
-	h := NewHeatTracker(2, 1.0)
+	h := trackerAlpha(2, 1.0)
 	h.Record("fastbig", 0, 5)     // shard 0 (fast): raw heat 5.5 total
 	h.Record("fastsmall", 0, 0.5) // movable by the heat-only plan
 	h.Record("slowhot", 1, 4)     // shard 1 (slow): raw heat 4, cost 10
@@ -177,21 +174,21 @@ func TestPlanCostAware(t *testing.T) {
 
 	// Heat-only view: shard 0 (heat 5.5) looks hotter than shard 1 (4);
 	// a heat-only plan moves fast -> slow.
-	mHeat := NewMigrator(Options{Migrate: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.05})
-	heatMoves := mHeat.Plan(h, nil, nil)
+	mHeat := newMigrator(Tuning{MaxMovesPerRound: 1, ImbalanceThreshold: 1.05})
+	heatMoves := mHeat.plan(h, nil, nil, nil)
 	if len(heatMoves) != 1 || heatMoves[0].From != 0 || heatMoves[0].To != 1 {
 		t.Fatalf("heat-only plan = %v, want a 0->1 move", heatMoves)
 	}
 
 	// Cost view: shard 1 costs 10 vs shard 0's 5.5; the cost-aware plan
 	// moves work off the slow shard onto the fast one.
-	h2 := NewHeatTracker(2, 1.0)
+	h2 := trackerAlpha(2, 1.0)
 	h2.Record("fastbig", 0, 5)
 	h2.Record("fastsmall", 0, 0.5)
 	h2.Record("slowhot", 1, 4)
 	h2.Advance()
-	mCost := NewMigrator(Options{Migrate: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.05})
-	costMoves := mCost.Plan(h2, costw, nil)
+	mCost := newMigrator(Tuning{MaxMovesPerRound: 1, ImbalanceThreshold: 1.05})
+	costMoves := mCost.plan(h2, costw, nil, nil)
 	if len(costMoves) != 1 || costMoves[0].From != 1 || costMoves[0].To != 0 {
 		t.Fatalf("cost-aware plan = %v, want a 1->0 move", costMoves)
 	}
@@ -200,7 +197,7 @@ func TestPlanCostAware(t *testing.T) {
 // TestPlanCostAwareSkipsOvershoot: a key whose cost on the destination
 // would meet or exceed the gap is skipped, in destination-cost units.
 func TestPlanCostAwareSkipsOvershoot(t *testing.T) {
-	h := NewHeatTracker(2, 1.0)
+	h := trackerAlpha(2, 1.0)
 	h.Record("huge", 0, 4) // on the slow destination this would cost 10
 	h.Record("tiny", 0, 1) // costs 2.5 there: fits the gap
 	h.Record("idle", 1, 0.4)
@@ -208,8 +205,8 @@ func TestPlanCostAwareSkipsOvershoot(t *testing.T) {
 	// Shard 1 is the slow one (weight 2.5): gap = 5*1 - 0.4*2.5 = 4.
 	// "huge" at destination cost 10 >= 4 must be skipped; "tiny" at 2.5
 	// fits.
-	m := NewMigrator(Options{Migrate: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.05})
-	moves := m.Plan(h, []float64{1.0, 2.5}, nil)
+	m := newMigrator(Tuning{MaxMovesPerRound: 1, ImbalanceThreshold: 1.05})
+	moves := m.plan(h, []float64{1.0, 2.5}, nil, nil)
 	if len(moves) != 1 || moves[0].Key != "tiny" {
 		t.Fatalf("plan = %v, want [tiny 0->1]", moves)
 	}
@@ -219,8 +216,8 @@ func TestPlanCostAwareSkipsOvershoot(t *testing.T) {
 // nil weights must produce identical plans (the degenerate-fleet
 // equivalence the homogeneous determinism tests rely on).
 func TestPlanUniformWeightsMatchHeatOnly(t *testing.T) {
-	build := func() *HeatTracker {
-		h := NewHeatTracker(3, 0.5)
+	build := func() *heatTracker {
+		h := trackerAlpha(3, 0.5)
 		for i := 0; i < 4; i++ {
 			h.Record("x", 0, 2)
 			h.Record("y", 0, 2)
@@ -229,50 +226,44 @@ func TestPlanUniformWeightsMatchHeatOnly(t *testing.T) {
 		h.Advance()
 		return h
 	}
-	a := NewMigrator(Options{Migrate: true, Seed: 5, ImbalanceThreshold: 1.05}).Plan(build(), nil, nil)
-	b := NewMigrator(Options{Migrate: true, Seed: 5, ImbalanceThreshold: 1.05}).Plan(build(), []float64{1, 1, 1}, nil)
+	a := newMigrator(Tuning{Seed: 5, ImbalanceThreshold: 1.05}).plan(build(), nil, nil, nil)
+	b := newMigrator(Tuning{Seed: 5, ImbalanceThreshold: 1.05}).plan(build(), []float64{1, 1, 1}, nil, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("nil weights %v != unit weights %v", a, b)
 	}
 }
 
-func TestManagerCostWeightsAndHeatOnly(t *testing.T) {
-	skew := func(m *Manager) {
-		m.Heat().Record("fastbig", 0, 5)
-		m.Heat().Record("fastsmall", 0, 0.5)
-		m.Heat().Record("slowhot", 1, 4)
+// TestMigratorTenantBias pins the QoS eviction guard: with the weight
+// table installed, the aggressor's key moves off the hot shard even
+// though the victim's key is hotter; without it, raw heat order picks
+// the victim's.
+func TestMigratorTenantBias(t *testing.T) {
+	build := func() *heatTracker {
+		h := trackerAlpha(2, 1.0)
+		h.RecordTenant("vic-key", "vic", 0, 6)
+		h.RecordTenant("agg-key", "agg", 0, 5)
+		h.RecordTenant("cold", "agg", 1, 1)
+		h.Advance()
+		return h
 	}
-	m := New(Options{Migrate: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.05}, 2)
-	m.SetCostWeights([]float64{1.0, 2.5})
-	skew(m)
-	if moves := m.PlanRebalance(); len(moves) != 1 || moves[0].From != 1 {
-		t.Fatalf("cost-aware manager plan = %v, want a 1->0 move", moves)
-	}
-	// HeatOnly ignores the installed weights.
-	ho := New(Options{Migrate: true, HeatOnly: true, MaxMovesPerRound: 1, ImbalanceThreshold: 1.05}, 2)
-	ho.SetCostWeights([]float64{1.0, 2.5})
-	skew(ho)
-	if moves := ho.PlanRebalance(); len(moves) != 1 || moves[0].From != 0 {
-		t.Fatalf("heat-only manager plan = %v, want a 0->1 move", moves)
-	}
-}
 
-func TestManagerPlanRebalance(t *testing.T) {
-	m := New(Options{Migrate: true, MaxMovesPerRound: 1}, 2)
-	for i := 0; i < 8; i++ {
-		m.Heat().Record("hot", 0, 1)
-		m.Heat().Record("warm", 0, 1)
+	m := newMigrator(Tuning{MaxMovesPerRound: 1})
+	moves := m.plan(build(), nil, nil, nil)
+	if len(moves) != 1 || moves[0].Key != "vic-key" {
+		t.Fatalf("unbiased plan = %v, want the hottest key vic-key", moves)
 	}
-	moves := m.PlanRebalance()
-	if len(moves) != 1 {
-		t.Fatalf("PlanRebalance = %v, want 1 move", moves)
+
+	m = newMigrator(Tuning{MaxMovesPerRound: 1})
+	m.setTenantWeights(map[string]int{"vic": 4, "agg": 1})
+	moves = m.plan(build(), nil, nil, nil)
+	if len(moves) != 1 || moves[0].Key != "agg-key" {
+		t.Fatalf("biased plan = %v, want the aggressor's agg-key", moves)
 	}
-	// Migration disabled: no plans, ever.
-	off := New(Options{}, 2)
-	for i := 0; i < 8; i++ {
-		off.Heat().Record("hot", 0, 1)
-	}
-	if moves := off.PlanRebalance(); moves != nil {
-		t.Fatalf("disabled manager planned %v", moves)
+
+	// Clearing the table restores the historical order.
+	m.setTenantWeights(nil)
+	moves = m.plan(build(), nil, nil, nil)
+	if len(moves) != 1 || moves[0].Key != "vic-key" {
+		t.Fatalf("cleared plan = %v, want vic-key again", moves)
 	}
 }

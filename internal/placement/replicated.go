@@ -4,8 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"repro/internal/loadmgr"
 )
 
 // DefaultReplicaBudget bounds replica-set changes (adds + drops) per
@@ -20,12 +18,13 @@ const DefaultTargetFraction = 0.5
 
 // ReplicatedConfig tunes the Replicated strategy.
 type ReplicatedConfig struct {
-	// Options tunes the underlying heat tracker and migrator (alpha,
-	// imbalance threshold, per-round move bound, cooldown, seed).
-	// Options.Migrate additionally enables hot-key migration of
-	// unreplicated keys at barriers; without it the strategy only
-	// replicates — the A/B knob separating the two mechanisms.
-	Options loadmgr.Options
+	// Tuning tunes the underlying migrator (seed, imbalance threshold,
+	// per-round move bound).
+	Tuning Tuning
+	// Migrate enables hot-key migration of unreplicated keys at
+	// barriers; without it the strategy only replicates — the A/B knob
+	// separating the two mechanisms.
+	Migrate bool
 	// MaxReplicas caps one key's replica set (0 = the shard count).
 	MaxReplicas int
 	// Budget bounds replica-set changes per rebalance round
@@ -58,8 +57,7 @@ type ReplicatedConfig struct {
 // mean shard heat (a key a single average shard absorbs whole never
 // replicates), emitting bounded MoveReplicate/MoveDrain moves,
 // coldest shard first. Keys holding replicas are fenced from the
-// migrator (their placement is the replica set); with Options.Migrate
-// set, everything left over rebalances exactly like CostAware —
+// migrator (their placement is the replica set); with Migrate set, everything left over rebalances exactly like CostAware —
 // without it the strategy only replicates.
 //
 // Everything is deterministic given the Route/Rebalance sequence and
@@ -67,6 +65,7 @@ type ReplicatedConfig struct {
 // then index, and the round-robin cursors advance in routing order.
 type Replicated struct {
 	balancer
+	migrate     bool
 	maxReplicas int
 	// wantMax is the configured cap before the fleet-size clamp (<= 0 =
 	// track the fleet), so an elastic fleet growing past the original
@@ -89,7 +88,8 @@ type Replicated struct {
 // NewReplicated builds a replicating strategy.
 func NewReplicated(cfg ReplicatedConfig) *Replicated {
 	r := &Replicated{
-		balancer:    newBalancer(cfg.Options, !cfg.HeatOnly),
+		balancer:    newBalancer(cfg.Tuning, !cfg.HeatOnly),
+		migrate:     cfg.Migrate,
 		maxReplicas: cfg.MaxReplicas,
 		wantMax:     cfg.MaxReplicas,
 		budget:      cfg.Budget,
@@ -158,14 +158,13 @@ func (r *Replicated) Route(c Call) int {
 }
 
 // Rebalance implements Placement: replica sizing first, then — when
-// Options.Migrate is set, matching the loadmgr semantics — ordinary
-// migration over the unreplicated remainder. Without it the strategy
-// replicates only, the A/B knob that isolates replication's
-// contribution from migration's.
+// Migrate is set — ordinary migration over the unreplicated remainder.
+// Without it the strategy replicates only, the A/B knob that isolates
+// replication's contribution from migration's.
 func (r *Replicated) Rebalance() []Move {
 	r.heat.Advance()
 	moves, skip := r.planReplicas()
-	if r.opts.Migrate {
+	if r.migrate {
 		moves = append(moves, r.planMigrations(skip)...)
 	}
 	return moves
@@ -182,14 +181,11 @@ type keyIdemHeat struct {
 // add/drop moves plus the fence set for the migrator: every key that
 // holds (or is about to hold) replicas.
 func (r *Replicated) planReplicas() ([]Move, map[string]bool) {
-	alpha := r.opts.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = loadmgr.DefaultAlpha
-	}
+	const alpha = heatAlpha
 	r.mu.Lock()
 	for key, win := range r.idemWin {
 		next := alpha*win + (1-alpha)*r.idemHeat[key]
-		if next < 1e-3 {
+		if next < minHeat {
 			delete(r.idemHeat, key)
 			delete(r.hits, key)
 			delete(r.rr, key)
@@ -201,7 +197,7 @@ func (r *Replicated) planReplicas() ([]Move, map[string]bool) {
 		if _, live := r.idemWin[key]; !live {
 			// No calls this round: decay toward the drop floor.
 			r.idemHeat[key] *= 1 - alpha
-			if r.idemHeat[key] < 1e-3 {
+			if r.idemHeat[key] < minHeat {
 				delete(r.idemHeat, key)
 				delete(r.hits, key)
 				delete(r.rr, key)

@@ -3,8 +3,6 @@ package placement
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/loadmgr"
 )
 
 // grow routes a dominant-key round and applies the rebalance, until
@@ -32,7 +30,7 @@ func grow(t *testing.T, r *Replicated, key string, want int) {
 // the set, and the distribution is recorded per shard.
 func TestReplicatedSizing(t *testing.T) {
 	r := NewReplicated(ReplicatedConfig{
-		Options: loadmgr.Options{ImbalanceThreshold: 1.05, Seed: 1}, MaxReplicas: 4})
+		Tuning: Tuning{ImbalanceThreshold: 1.05, Seed: 1}, MaxReplicas: 4})
 	if err := r.Bind(4, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +58,7 @@ func TestReplicatedSizing(t *testing.T) {
 // primary — even though it no longer appears in any heat map.
 func TestReplicatedDrainsDecayedKey(t *testing.T) {
 	r := NewReplicated(ReplicatedConfig{
-		Options: loadmgr.Options{ImbalanceThreshold: 1.05, Seed: 1}, MaxReplicas: 4})
+		Tuning: Tuning{ImbalanceThreshold: 1.05, Seed: 1}, MaxReplicas: 4})
 	if err := r.Bind(4, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +79,13 @@ func TestReplicatedDrainsDecayedKey(t *testing.T) {
 	}
 }
 
-// TestReplicatedMigrateKnob: Options.Migrate gates migration of
+// TestReplicatedMigrateKnob: ReplicatedConfig.Migrate gates migration of
 // unreplicated keys; replication itself runs either way.
 func TestReplicatedMigrateKnob(t *testing.T) {
 	run := func(migrate bool) (replicas, migrations int) {
 		r := NewReplicated(ReplicatedConfig{
-			Options:     loadmgr.Options{Migrate: migrate, ImbalanceThreshold: 1.05, Seed: 1},
+			Tuning:      Tuning{ImbalanceThreshold: 1.05, Seed: 1},
+			Migrate:     migrate,
 			MaxReplicas: 4})
 		if err := r.Bind(4, nil); err != nil {
 			t.Fatal(err)

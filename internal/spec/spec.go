@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/backend"
-	"repro/internal/loadmgr"
 	"repro/internal/placement"
 	"repro/internal/tenant"
 )
@@ -328,15 +327,15 @@ func (fs *FleetSpec) AutoscaleConfig() *autoscale.Config {
 // from the spec (strategies cannot be rebound, so every fleet open and
 // every swap needs its own instance).
 func (fs *FleetSpec) NewPlacement() placement.Placement {
-	opts := loadmgr.Options{Seed: fs.Seed}
+	tuning := placement.Tuning{Seed: fs.Seed}
 	switch fs.Placement {
 	case PlacementHeat:
-		return placement.NewHeatMigrate(opts)
+		return placement.NewHeatMigrate(tuning)
 	case PlacementCostAware:
-		return placement.NewCostAware(opts)
+		return placement.NewCostAware(tuning)
 	case PlacementReplicated:
 		return placement.NewReplicated(placement.ReplicatedConfig{
-			Options:     opts,
+			Tuning:      tuning,
 			MaxReplicas: fs.Replicas,
 		})
 	default:

@@ -115,6 +115,34 @@ type Entry struct {
 	// COW marks the entry copy-on-write: anons with Refs>1 must be
 	// copied before the first write.
 	COW bool
+	// aliases counts the live entries, across all spaces, that alias
+	// this entry's amap; nil while no other entry ever has. The amap as
+	// a whole holds one reference on each of its anons, so only the last
+	// alias to be unmapped drops them.
+	aliases *amapAliases
+}
+
+// amapAliases is the alias count one shared amap's entries share.
+type amapAliases struct{ n int }
+
+// shareAmap makes alias a counted alias of e's amap and marks e shared.
+func shareAmap(e, alias *Entry) {
+	if e.aliases == nil {
+		e.aliases = &amapAliases{n: 1}
+	}
+	e.aliases.n++
+	e.Shared = true
+	alias.aliases = e.aliases
+}
+
+// unalias drops e's alias reference and reports whether other entries
+// still hold its amap (and with it the amap's anons).
+func (e *Entry) unalias() bool {
+	if e.aliases == nil {
+		return false
+	}
+	e.aliases.n--
+	return e.aliases.n > 0
 }
 
 func (e *Entry) contains(addr uint32) bool { return addr >= e.Start && addr < e.End }
@@ -198,6 +226,17 @@ func (s *Space) FindEntry(addr uint32) *Entry { return s.find(addr) }
 // callers must not mutate it.
 func (s *Space) Entries() []*Entry { return s.entries }
 
+// insertAlias maps into s a shared entry aliasing e's amap over e's
+// range; the alias is counted only once it is in place.
+func (s *Space) insertAlias(e *Entry) (*Entry, error) {
+	alias := &Entry{Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name, Amap: e.Amap, Shared: true}
+	if err := s.insert(alias); err != nil {
+		return nil, err
+	}
+	shareAmap(e, alias)
+	return alias, nil
+}
+
 func (s *Space) insert(e *Entry) error {
 	for _, x := range s.entries {
 		if e.Start < x.End && x.Start < e.End {
@@ -233,9 +272,8 @@ func MapSharedInternal(s1, s2 *Space, start, size uint32, prot Prot, name string
 	if err != nil {
 		return nil, nil, err
 	}
-	e2 := &Entry{Start: start, End: start + size, Prot: prot, Name: name, Amap: e1.Amap, Shared: true}
-	e1.Shared = true
-	if err := s2.insert(e2); err != nil {
+	e2, err := s2.insertAlias(e1)
+	if err != nil {
 		s1.Unmap(start, start+size)
 		return nil, nil, err
 	}
@@ -252,6 +290,17 @@ func (s *Space) Unmap(start, end uint32) {
 			continue
 		}
 		// Overlap: possibly split into a left and/or right remainder.
+		// While other entries still alias e's amap, its anons stay
+		// theirs: remainders take references of their own and nothing
+		// in the range is dropped. Otherwise e's references pass to the
+		// remainders and the range's anons are dropped.
+		aliased := e.unalias()
+		keepAnon := func(an *Anon) *Anon {
+			if aliased {
+				an.Refs++
+			}
+			return an
+		}
 		lo, hi := start, end
 		if lo < e.Start {
 			lo = e.Start
@@ -265,7 +314,7 @@ func (s *Space) Unmap(start, end uint32) {
 			for idx, an := range e.Amap {
 				a := e.Start + idx<<mem.PageShift
 				if a < lo {
-					left.Amap[idx] = an
+					left.Amap[idx] = keepAnon(an)
 				}
 			}
 			// Rebase is unnecessary: left.Start == e.Start.
@@ -278,14 +327,12 @@ func (s *Space) Unmap(start, end uint32) {
 			for idx, an := range e.Amap {
 				a := e.Start + idx<<mem.PageShift
 				if a >= hi {
-					right.Amap[idx-base] = an
+					right.Amap[idx-base] = keepAnon(an)
 				}
 			}
 			keep = append(keep, right)
 		}
-		// Drop references covered by [lo,hi). Shared aliased amaps keep
-		// the anons alive through the other space's entry.
-		if !e.Shared {
+		if !aliased {
 			for idx, an := range e.Amap {
 				a := e.Start + idx<<mem.PageShift
 				if a >= lo && a < hi {
@@ -309,10 +356,11 @@ func (s *Space) dropAnon(an *Anon) {
 	}
 }
 
-// UnmapAll removes every mapping (process teardown).
+// UnmapAll removes every mapping (process teardown). A shared amap's
+// anons go with the last entry that aliases it.
 func (s *Space) UnmapAll() {
 	for _, e := range s.entries {
-		if !e.Shared {
+		if !e.unalias() {
 			for _, an := range e.Amap {
 				s.dropAnon(an)
 			}
@@ -336,16 +384,14 @@ func (s *Space) Fault(addr uint32, access Access) (*mem.Page, error) {
 		if s.Partner != nil && addr >= s.ShareStart && addr < s.ShareEnd {
 			pe := s.Partner.find(addr)
 			if pe != nil {
-				alias := &Entry{Start: pe.Start, End: pe.End, Prot: pe.Prot,
-					Name: pe.Name, Amap: pe.Amap, Shared: true}
-				pe.Shared = true
-				// Clip the alias to the share range so a partner entry
-				// straddling the boundary cannot leak outside it.
-				if alias.Start < s.ShareStart || alias.End > s.ShareEnd {
+				// A partner entry straddling the share boundary must not
+				// leak outside it.
+				if pe.Start < s.ShareStart || pe.End > s.ShareEnd {
 					return nil, fmt.Errorf("%w: partner entry %s [%#x,%#x) exceeds share range",
 						ErrNoMapping, pe.Name, pe.Start, pe.End)
 				}
-				if err := s.insert(alias); err != nil {
+				alias, err := s.insertAlias(pe)
+				if err != nil {
 					return nil, err
 				}
 				s.ShareFaults++
@@ -559,10 +605,10 @@ func (s *Space) Fork() *Space {
 				child.entries = append(child.entries, ce)
 				continue
 			}
-			child.entries = append(child.entries, &Entry{
-				Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
-				Amap: e.Amap, Shared: true,
-			})
+			ce := &Entry{Start: e.Start, End: e.End, Prot: e.Prot, Name: e.Name,
+				Amap: e.Amap, Shared: true}
+			shareAmap(e, ce)
+			child.entries = append(child.entries, ce)
 			continue
 		}
 		e.COW = true
@@ -611,10 +657,8 @@ func ForceShare(map1, map2 *Space, start, end uint32) error {
 			return fmt.Errorf("vm: ForceShare: entry %s [%#x,%#x) straddles share boundary",
 				e.Name, e.Start, e.End)
 		}
-		e.Shared = true
 		e.COW = false
-		if err := map1.insert(&Entry{Start: e.Start, End: e.End, Prot: e.Prot,
-			Name: e.Name, Amap: e.Amap, Shared: true}); err != nil {
+		if _, err := map1.insertAlias(e); err != nil {
 			return err
 		}
 	}
@@ -665,13 +709,12 @@ func (s *Space) Obreak(newEnd uint32) error {
 			s.Partner.HeapEnd = newEnd
 		}
 	case newEnd < heap.End:
-		// Shrink: drop pages past the new break.
+		// Shrink: drop pages past the new break. An aliased heap amap
+		// is one object, so the pages leave every alias at once.
 		base := (newEnd - heap.Start) >> mem.PageShift
 		for idx, an := range heap.Amap {
 			if idx >= base {
-				if !heap.Shared {
-					s.dropAnon(an)
-				}
+				s.dropAnon(an)
 				delete(heap.Amap, idx)
 			}
 		}

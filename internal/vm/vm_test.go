@@ -492,6 +492,41 @@ func TestUnmapAllKeepsSharedAlive(t *testing.T) {
 	}
 }
 
+// TestSharedFramesFreedByLastAlias: a shared amap's frames live while
+// any entry aliases it — across spaces, forks and partial unmaps — and
+// are freed exactly once when the last alias goes.
+func TestSharedFramesFreedByLastAlias(t *testing.T) {
+	phys := mem.NewPhys(0)
+	a := NewSpace(phys, clock.New())
+	b := NewSpace(phys, clock.New())
+	if _, _, err := MapSharedInternal(a, b, 0x1000, 0x3000, ProtRW, "shm"); err != nil {
+		t.Fatal(err)
+	}
+	for addr := uint32(0x1000); addr < 0x4000; addr += 0x1000 {
+		if err := a.Write32(addr, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := b.Fork() // shared entries stay aliased in the child
+	// Cut the middle page out of a's view: a keeps the outer pages
+	// through remainders of its own, b and c still map all three.
+	a.Unmap(0x2000, 0x3000)
+	a.UnmapAll()
+	b.UnmapAll()
+	if got := phys.InUse(); got != 3 {
+		t.Fatalf("InUse = %d while c still aliases the amap, want 3", got)
+	}
+	for addr := uint32(0x1000); addr < 0x4000; addr += 0x1000 {
+		if v, err := c.Read32(addr); err != nil || v != addr {
+			t.Fatalf("c lost page %#x: v=%#x err=%v", addr, v, err)
+		}
+	}
+	c.UnmapAll()
+	if got := phys.InUse(); got != 0 {
+		t.Fatalf("InUse after the last alias unmapped = %d, want 0", got)
+	}
+}
+
 func TestDescribeLayout(t *testing.T) {
 	s := newTestSpace(t)
 	if _, err := s.Map(0x1000, 0x1000, ProtRX, "text"); err != nil {

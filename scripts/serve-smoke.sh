@@ -1,5 +1,5 @@
 #!/bin/sh
-# serve-smoke.sh — the smodfleetd serving smoke drill the CI `serve`
+# serve-smoke.sh — the smodfleetd serving smoke drill the CI `drills`
 # job runs: boot the daemon on loopback TCP from a 4-shard spec, drive
 # a concurrent wall-clock client burst through smodfleetctl, edit the
 # spec to 2 shards and SIGHUP, assert the reconcile loop converges (via
